@@ -7,8 +7,9 @@ else is far). Each entity yields both
 
 * a **token set** (core tokens shared within the group plus per-record
   noise, zipf-weighted vocabulary) feeding the repo's own exact sparse
-  path -- :class:`repro.serve.ServingIndex.candidates`, which walks the
-  postings of every query token and scores all touched records; and
+  path -- :class:`repro.serve.ServingIndex.candidates`, which scores
+  every record sharing a query token with one ``np.bincount`` over the
+  tokens' posting arrays; and
 * an **embedding** (unit vector: group prototype + jitter) feeding the
   :mod:`repro.ann` indexes, quantized to int8 and probed with the fused
   kernels.

@@ -17,20 +17,22 @@ the old vector atomically (returns ``False``), ``remove`` unlinks, and
 record_id)`` rule so equal scores never reorder between calls or runs.
 Hyperplanes and k-means are seeded, making a rebuilt index bit-identical.
 
-Locking mirrors the serving index after its snapshot-outside-the-lock
-rework: mutations hold the index lock; ``search`` holds it only long
-enough to gather the probed rows' codes into private arrays, then scores
-and sorts outside it, so a concurrent in-place replace can never produce
-a torn read.
+Rows come from a :class:`repro.data.rowstore.RowStore` (id <-> row
+ribbon, tombstone free list, ``codes`` / ``scales`` columns), the store
+the sparse and CLK indexes use too.  Mutations hold the index lock;
+``search`` holds it only long enough to gather the probed rows' codes
+into private arrays, then scores and sorts outside it, so a concurrent
+in-place replace can never produce a torn read.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..data.rowstore import RowStore
 from .kernels import fused_scaled_dot, quantize_int8, topk_candidates
 
 #: initial row capacity of the code store (doubles on growth)
@@ -88,20 +90,18 @@ class AnnIndex:
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
         self._lock = threading.RLock()
-        self._codes = np.zeros((_MIN_CAPACITY, self.dim), dtype=np.int8)
-        self._scales = np.ones(_MIN_CAPACITY, dtype=np.float32)
-        self._ids: List[Optional[str]] = []      # row -> id (None = tombstone)
-        self._rows: Dict[str, int] = {}          # id -> row
-        self._free: List[int] = []               # reusable tombstone rows
+        self._store = RowStore(_MIN_CAPACITY,
+                               codes=((self.dim,), np.int8, 0),
+                               scales=((), np.float32, 1.0))
 
     # -- catalog protocol ----------------------------------------------
     def __len__(self) -> int:
         with self._lock:
-            return len(self._rows)
+            return len(self._store)
 
     def __contains__(self, record_id: str) -> bool:
         with self._lock:
-            return record_id in self._rows
+            return record_id in self._store
 
     def add(self, record_id: str, vector: np.ndarray) -> bool:
         """Insert (or replace) one vector; ``False`` means replaced."""
@@ -111,14 +111,12 @@ class AnnIndex:
                 f"vector has dim {vector.shape[0]}, index expects {self.dim}")
         codes, scales = quantize_int8(vector[None, :])
         with self._lock:
-            fresh = record_id not in self._rows
+            fresh = record_id not in self._store
             if not fresh:
                 self._drop(record_id)
-            row = self._take_row()
-            self._codes[row] = codes[0]
-            self._scales[row] = scales[0]
-            self._ids[row] = record_id
-            self._rows[record_id] = row
+            row = self._store.take(record_id)
+            self._store["codes"][row] = codes[0]
+            self._store["scales"][row] = scales[0]
             self._link(row, vector)
         return fresh
 
@@ -130,36 +128,14 @@ class AnnIndex:
     def remove(self, record_id: str) -> bool:
         """Drop a record by id; ``False`` when the id is unknown."""
         with self._lock:
-            if record_id not in self._rows:
+            if record_id not in self._store:
                 return False
             self._drop(record_id)
         return True
 
     def _drop(self, record_id: str) -> None:
         # caller holds the lock
-        row = self._rows.pop(record_id)
-        self._unlink(row)
-        self._ids[row] = None
-        self._free.append(row)
-
-    def _take_row(self) -> int:
-        if self._free:
-            return self._free.pop()
-        row = len(self._ids)
-        if row >= self._codes.shape[0]:
-            capacity = max(_MIN_CAPACITY, 2 * self._codes.shape[0])
-            codes = np.zeros((capacity, self.dim), dtype=np.int8)
-            codes[:row] = self._codes[:row]
-            scales = np.ones(capacity, dtype=np.float32)
-            scales[:row] = self._scales[:row]
-            self._codes, self._scales = codes, scales
-        self._ids.append(None)
-        return row
-
-    def _active_rows(self) -> np.ndarray:
-        # caller holds the lock
-        return np.fromiter(self._rows.values(), dtype=np.int64,
-                           count=len(self._rows))
+        self._unlink(self._store.release(record_id))
 
     # -- routing hooks --------------------------------------------------
     def _link(self, row: int, vector: np.ndarray) -> None:
@@ -193,9 +169,9 @@ class AnnIndex:
                 return []
             # snapshot the probed rows under the lock: a concurrent
             # replace writes codes in place, so scoring must not read them
-            codes = self._codes[rows]
-            scales = self._scales[rows]
-            ids = [self._ids[row] for row in rows]
+            codes = self._store["codes"][rows]
+            scales = self._store["scales"][rows]
+            ids = [self._store.ids[row] for row in rows]
         scores = fused_scaled_dot(query, codes, scales)
         keep = topk_candidates(scores, k)
         ranked = sorted(((float(scores[i]), ids[i]) for i in keep),
@@ -205,9 +181,9 @@ class AnnIndex:
     def stats(self) -> dict:
         with self._lock:
             return {
-                "records": len(self._rows),
-                "capacity": int(self._codes.shape[0]),
-                "tombstones": len(self._free),
+                "records": len(self._store),
+                "capacity": self._store.capacity,
+                "tombstones": len(self._store.free),
                 "dim": self.dim,
             }
 
@@ -337,9 +313,9 @@ class IvfIndex(AnnIndex):
             self._centroids = centroids
             self._lists = [set() for _ in range(centroids.shape[0])]
             self._row_list = {}
-            for record_id, row in self._rows.items():
-                vector = (self._codes[row].astype(np.float32)
-                          * self._scales[row])
+            codes, scales = self._store["codes"], self._store["scales"]
+            for row in self._store.rows.values():
+                vector = codes[row].astype(np.float32) * scales[row]
                 self._route(row, vector)
         return self
 
@@ -364,7 +340,7 @@ class IvfIndex(AnnIndex):
 
     def _probe(self, query: np.ndarray) -> np.ndarray:
         if self._centroids is None:
-            return self._active_rows()
+            return self._store.live_rows()
         sims = self._centroids @ query
         nprobe = min(self.nprobe, len(sims))
         # deterministic list order: (-similarity, list_id)

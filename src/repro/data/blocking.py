@@ -11,10 +11,13 @@ postings, see :class:`repro.ann.DenseBlocker` and ``docs/BLOCKING.md``.
 
 from __future__ import annotations
 
+import sys
 import threading
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..text.tokenizer import basic_tokenize
 from .records import EntityRecord, Table
@@ -39,6 +42,8 @@ def record_tokens(record: EntityRecord) -> FrozenSet[str]:
     same record.  Content addressing means a record replaced under an
     existing id can never be served the old version's token set.  The
     returned set is a shared frozenset -- callers must not mutate it.
+    Tokens are interned, so all memoized sets hold one string object per
+    distinct token rather than one per record.
     """
     key = record.content_key()
     with _token_cache_lock:
@@ -46,7 +51,7 @@ def record_tokens(record: EntityRecord) -> FrozenSet[str]:
         if tokens is not None:
             _token_cache.move_to_end(key)
             return tokens
-    tokens = frozenset(t for t in basic_tokenize(serialize(record))
+    tokens = frozenset(sys.intern(t) for t in basic_tokenize(serialize(record))
                        if t not in ("[COL]", "[VAL]") and len(t) > 1)
     with _token_cache_lock:
         existing = _token_cache.get(key)
@@ -62,6 +67,32 @@ def clear_token_cache() -> None:
     """Drop the record_tokens memo (tests and memory-pressure hooks)."""
     with _token_cache_lock:
         _token_cache.clear()
+
+
+def overlap_scores(postings: Sequence[np.ndarray], query_size: int,
+                   sizes: np.ndarray, threshold: float = 0.0,
+                   min_shared_tokens: int = 1
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Overlap coefficient of one query against every row its tokens hit.
+
+    ``postings`` holds one integer row array per query token (the rows of
+    the records carrying that token) and ``sizes[row]`` is a record's
+    token count.  ``np.bincount`` over the concatenated postings gives
+    ``shared = |Q intersect R|`` per row, and the score is
+    ``shared / min(|Q|, |R|)`` in float64 -- bit-identical to the same
+    division on Python ints.  Returns ``(rows, scores)`` in row order,
+    keeping rows with at least ``min_shared_tokens`` (and always at least
+    one) shared token and a score ``>= threshold``.
+    """
+    if not postings:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    shared = np.bincount(np.concatenate(postings))
+    rows = np.flatnonzero(shared >= max(min_shared_tokens, 1))
+    scores = shared[rows] / np.minimum(query_size, sizes[rows])
+    if threshold > 0.0:
+        keep = scores >= threshold
+        rows, scores = rows[keep], scores[keep]
+    return rows, scores
 
 
 @dataclass
@@ -105,35 +136,38 @@ class OverlapBlocker:
     def block(self, left: Table, right: Table) -> BlockingResult:
         """Return candidate pairs sharing enough tokens.
 
-        The inverted-index walk already counts ``shared = |L intersect R|``
-        per right record, so the overlap coefficient is computed directly
-        as ``shared / min(|L|, |R|)`` -- re-intersecting the token sets per
-        surviving candidate (the old :func:`overlap_coefficient` call)
-        would redo exactly that work.
+        The right table becomes integer postings (one row per record) and
+        each left record is scored against it with :func:`overlap_scores`.
+        Candidates come out left record by left record, each in right
+        table order.  A ``record_id`` repeated in ``right`` raises
+        ``ValueError``: the two records would be indistinguishable in the
+        candidate pairs.
         """
-        right_size: Dict[str, int] = {}
-        index: Dict[str, List[str]] = defaultdict(list)
-        for record in right:
+        right_records = list(right)
+        seen: Set[str] = set()
+        sizes = np.zeros(len(right_records), dtype=np.int64)
+        rows_by_token: Dict[str, List[int]] = {}
+        for row, record in enumerate(right_records):
+            if record.record_id in seen:
+                raise ValueError(
+                    f"duplicate record_id {record.record_id!r} in the "
+                    f"right table")
+            seen.add(record.record_id)
             tokens = self._tokens(record)
-            right_size[record.record_id] = len(tokens)
+            sizes[row] = len(tokens)
             for token in tokens:
-                index[token].append(record.record_id)
+                rows_by_token.setdefault(token, []).append(row)
+        postings = {token: np.asarray(rows, dtype=np.int64)
+                    for token, rows in rows_by_token.items()}
 
         candidates: List[Tuple[EntityRecord, EntityRecord]] = []
-        right_by_id = {r.record_id: r for r in right}
         for left_record in left:
             tokens = self._tokens(left_record)
-            counts: Dict[str, int] = defaultdict(int)
-            for token in tokens:
-                for rid in index.get(token, ()):
-                    counts[rid] += 1
-            for rid, shared in counts.items():
-                if shared < self.min_shared_tokens:
-                    continue
-                smaller = min(len(tokens), right_size[rid])
-                score = shared / smaller if smaller else 0.0
-                if score >= self.threshold:
-                    candidates.append((left_record, right_by_id[rid]))
+            rows, _ = overlap_scores(
+                [postings[t] for t in tokens if t in postings], len(tokens),
+                sizes, self.threshold, self.min_shared_tokens)
+            candidates.extend((left_record, right_records[row])
+                              for row in rows.tolist())
         return BlockingResult(candidates=candidates,
                               total_pairs=len(left) * len(right))
 

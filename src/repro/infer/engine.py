@@ -47,7 +47,12 @@ from .cache import EncodingCache
 
 @dataclass
 class PairEncoding:
-    """One rendered pair: token ids (placeholders allowed) + mask index."""
+    """One rendered pair: token ids (placeholders allowed) + mask index.
+
+    ``ids`` are stored as ``int32``: an encoding lives as long as its
+    encoding-cache entry, and every batch copies it into an ``int64``
+    matrix before use.
+    """
 
     ids: np.ndarray
     mask_position: int = 0
@@ -55,7 +60,7 @@ class PairEncoding:
     dup_flags: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        self.ids = np.asarray(self.ids, dtype=np.int64)
+        self.ids = np.asarray(self.ids, dtype=np.int32)
 
     def __len__(self) -> int:
         return len(self.ids)

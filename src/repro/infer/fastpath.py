@@ -197,13 +197,16 @@ def _cached_dup_flags(lm, encodings, ids: np.ndarray) -> np.ndarray:
     """Duplicate-token flags, memoized on each encoding.
 
     Pad tokens are special ids and never count as duplicates, so per-row
-    flags are padding-invariant and safe to cache with the encoding.
+    flags are padding-invariant and safe to cache with the encoding.  The
+    cached copy lives as long as the encoding-cache entry, so it is kept
+    as ``int8`` (the flags are 0/1), one byte per token.
     """
     flags = np.zeros_like(ids)
     for i, enc in enumerate(encodings):
         if enc.dup_flags is None:
             n = len(enc.ids)
-            enc.dup_flags = lm.duplicate_flags(ids[i:i + 1, :n])[0]
+            enc.dup_flags = lm.duplicate_flags(
+                ids[i:i + 1, :n])[0].astype(np.int8)
         flags[i, :len(enc.dup_flags)] = enc.dup_flags
     return flags
 

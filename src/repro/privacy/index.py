@@ -15,9 +15,10 @@ embeddings.  Two deployment shapes share this class:
   candidate *generation* runs over CLKs (recall measurement, trade-off
   benchmarks).
 
-Storage mirrors :class:`repro.ann.AnnIndex`: a growable packed matrix with
-per-row popcounts, a row -> id ribbon with ``None`` tombstones, and a free
-list so removes recycle rows.  Re-adding an id replaces the old filter in
+Storage is a :class:`repro.data.rowstore.RowStore`, as in
+:class:`repro.ann.AnnIndex`: a growable packed matrix with per-row
+popcounts, a row -> id ribbon with ``None`` tombstones, and a free list
+so removes recycle rows.  Re-adding an id replaces the old filter in
 place (the replace-on-readd contract the regression tests pin).  Search
 snapshots live rows under the lock and scores outside it; results follow
 the deterministic ``(-score, record_id)`` ordering.
@@ -31,6 +32,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..data.records import EntityRecord
+from ..data.rowstore import RowStore
 from ..obs import get_telemetry
 from .encoder import ClkEncoder
 from .kernels import dice_topk, popcount
@@ -64,22 +66,19 @@ class ClkCandidateIndex:
         self.min_score = min_score
         self.default_k = default_k
         self._lock = threading.RLock()
-        self._filters = np.zeros((_INITIAL_CAPACITY, self.words),
-                                 dtype=np.uint64)
-        self._pops = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self._ids: List[Optional[str]] = [None] * _INITIAL_CAPACITY
-        self._rows: Dict[str, int] = {}
-        self._free: List[int] = list(range(_INITIAL_CAPACITY - 1, -1, -1))
+        self._store = RowStore(_INITIAL_CAPACITY,
+                               filters=((self.words,), np.uint64, 0),
+                               pops=((), np.int64, 0))
         self._records: Dict[str, EntityRecord] = {}
 
     # -- size / membership --------------------------------------------
     def __len__(self) -> int:
         with self._lock:
-            return len(self._rows)
+            return len(self._store)
 
     def __contains__(self, record_id: str) -> bool:
         with self._lock:
-            return record_id in self._rows
+            return record_id in self._store
 
     def get(self, record_id: str) -> Optional[EntityRecord]:
         """Stored plaintext record (single-party mode only), else ``None``."""
@@ -88,24 +87,10 @@ class ClkCandidateIndex:
 
     def get_clk(self, record_id: str) -> Optional[np.ndarray]:
         with self._lock:
-            row = self._rows.get(record_id)
-            return None if row is None else self._filters[row].copy()
+            row = self._store.rows.get(record_id)
+            return None if row is None else self._store["filters"][row].copy()
 
     # -- maintenance ---------------------------------------------------
-    def _take_row(self) -> int:
-        if self._free:
-            return self._free.pop()
-        old = self._filters.shape[0]
-        grown = max(_INITIAL_CAPACITY, old * 2)
-        filters = np.zeros((grown, self.words), dtype=np.uint64)
-        filters[:old] = self._filters
-        pops = np.zeros(grown, dtype=np.int64)
-        pops[:old] = self._pops
-        self._filters, self._pops = filters, pops
-        self._ids.extend([None] * (grown - old))
-        self._free.extend(range(grown - 1, old, -1))
-        return old
-
     def _set_gauge(self, size: int) -> None:
         tel = get_telemetry()
         if tel.enabled:
@@ -122,21 +107,19 @@ class ClkCandidateIndex:
                 f"got shape {clk.shape}")
         pop = int(popcount(clk))
         with self._lock:
-            row = self._rows.get(record_id)
+            row = self._store.rows.get(record_id)
             fresh = row is None
             if fresh:
-                row = self._take_row()
-                self._rows[record_id] = row
-                self._ids[row] = record_id
-            self._filters[row] = clk
-            self._pops[row] = pop
+                row = self._store.take(record_id)
+            self._store["filters"][row] = clk
+            self._store["pops"][row] = pop
             if record is not None:
                 self._records[record_id] = record
             else:
                 # a filter-only (re)add leaves no plaintext behind; any
                 # record stored for this id no longer matches the filter
                 self._records.pop(record_id, None)
-            size = len(self._rows)
+            size = len(self._store)
         self._set_gauge(size)
         return fresh
 
@@ -174,15 +157,10 @@ class ClkCandidateIndex:
 
     def remove(self, record_id: str) -> bool:
         with self._lock:
-            row = self._rows.pop(record_id, None)
-            if row is None:
+            if self._store.release(record_id) is None:
                 return False
-            self._ids[row] = None
-            self._filters[row] = 0
-            self._pops[row] = 0
-            self._free.append(row)
             self._records.pop(record_id, None)
-            size = len(self._rows)
+            size = len(self._store)
         self._set_gauge(size)
         return True
 
@@ -204,12 +182,11 @@ class ClkCandidateIndex:
                 f"expected a ({self.words},) packed filter, "
                 f"got shape {clk.shape}")
         with self._lock:
-            if not self._rows:
+            if not self._store:
                 return []
-            rows = np.fromiter(self._rows.values(), dtype=np.int64,
-                               count=len(self._rows))
-            ids = {row: rid for rid, row in self._rows.items()}
-            filters, pops = self._filters, self._pops
+            rows = self._store.live_rows()
+            ids = list(self._store.ids)
+            filters, pops = self._store["filters"], self._store["pops"]
         pool_rows, pool_scores = dice_topk(clk, filters, k, pops=pops,
                                            rows=rows)
         found = [(ids[int(row)], float(score))
@@ -245,9 +222,9 @@ class ClkCandidateIndex:
     # -- bookkeeping ---------------------------------------------------
     def stats(self) -> dict:
         with self._lock:
-            live = len(self._rows)
-            capacity = self._filters.shape[0]
-            fill = float(self._pops[list(self._rows.values())].mean()
+            live = len(self._store)
+            capacity = self._store.capacity
+            fill = float(self._store["pops"][self._store.live_rows()].mean()
                          / (self.words * 64)) if live else 0.0
             return {
                 "kind": self.kind,
@@ -256,7 +233,7 @@ class ClkCandidateIndex:
                 "words": self.words,
                 "encoded_nbits": self.words * 64,
                 "capacity": capacity,
-                "free_rows": len(self._free),
+                "free_rows": capacity - live,
                 "mean_fill": fill,
                 "has_encoder": self.encoder is not None,
             }

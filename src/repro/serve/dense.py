@@ -13,10 +13,10 @@ Semantics intentionally match the token index:
 * ``candidates`` returns top-k ``(record, score)`` ordered by the
   deterministic ``(-score, record_id)`` rule -- here the score is the
   quantized cosine similarity instead of the overlap coefficient;
-* locking is scoped like the token index after its snapshot rework: the
-  record-map lock guards only dictionary bookkeeping, embedding runs
-  outside it (it is the expensive, pure part), and the ANN index snapshots
-  probed rows under its own lock before scoring.
+* locking is scoped to bookkeeping: the record-map lock guards only
+  dictionary bookkeeping, embedding runs outside it (it is the
+  expensive, pure part), and the ANN index snapshots probed rows under
+  its own lock before scoring.
 """
 
 from __future__ import annotations

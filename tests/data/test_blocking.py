@@ -209,3 +209,68 @@ class TestTokenMemo:
         finally:
             blocking._TOKEN_CACHE_CAP = old_cap
             clear_token_cache()
+
+
+class TestDuplicateRightIds:
+    """A right table that repeats a record_id is refused: its postings
+    would be indistinguishable, and the overlap counts of the two records
+    used to be summed into one score."""
+
+    @staticmethod
+    def _table(name, rows):
+        from repro.data.records import EntityRecord, Table
+
+        return Table(name=name, kind="text", records=[
+            EntityRecord.text_record(rid, text) for rid, text in rows])
+
+    def test_duplicate_right_id_raises(self):
+        left = self._table("l", [("q", "alpha beta gamma delta")])
+        right = self._table("r", [("r", "alpha beta zzz yyy"),
+                                  ("r", "gamma delta www vvv")])
+        with pytest.raises(ValueError, match="'r'"):
+            OverlapBlocker(threshold=0.75).block(left, right)
+
+    def test_distinct_ids_score_separately(self):
+        # the same two records under distinct ids each share 2/4 tokens,
+        # so neither clears 0.75
+        left = self._table("l", [("q", "alpha beta gamma delta")])
+        right = self._table("r", [("r1", "alpha beta zzz yyy"),
+                                  ("r2", "gamma delta www vvv")])
+        assert OverlapBlocker(threshold=0.75).block(left, right) \
+            .candidates == []
+        result = OverlapBlocker(threshold=0.5).block(left, right)
+        assert [r.record_id for _, r in result.candidates] == ["r1", "r2"]
+
+
+class TestOverlapScores:
+    def test_matches_python_division_bitwise(self):
+        import numpy as np
+
+        from repro.data.blocking import overlap_scores
+
+        sizes = np.array([3, 7, 5, 0, 6], dtype=np.int32)
+        postings = [np.array([0, 1, 2]), np.array([1, 2, 4]),
+                    np.array([1, 4]), np.array([2])]
+        rows, scores = overlap_scores(postings, 7, sizes)
+        shared = {0: 1, 1: 3, 2: 3, 4: 2}
+        assert rows.tolist() == [0, 1, 2, 4]
+        assert [s.hex() for s in scores.tolist()] == [
+            (shared[r] / min(7, int(sizes[r]))).hex() for r in rows.tolist()]
+
+    def test_masks(self):
+        import numpy as np
+
+        from repro.data.blocking import overlap_scores
+
+        sizes = np.array([2, 4, 4], dtype=np.int32)
+        postings = [np.array([0, 1]), np.array([1, 2])]
+        rows, _ = overlap_scores(postings, 2, sizes, min_shared_tokens=2)
+        assert rows.tolist() == [1]
+        rows, scores = overlap_scores(postings, 2, sizes, threshold=0.75)
+        assert rows.tolist() == [1] and scores.tolist() == [1.0]
+        # a zero floor still needs one shared token (no 0/0 rows)
+        rows, _ = overlap_scores(postings, 2, sizes, min_shared_tokens=0)
+        assert rows.tolist() == [0, 1, 2]
+        rows, scores = overlap_scores([], 2, sizes)
+        assert rows.size == 0 and scores.size == 0
+

@@ -105,6 +105,16 @@ class TestCacheAccounting:
         warm = engine.predict_proba(prompt_model, pairs)
         np.testing.assert_array_equal(cold, warm)
 
+    def test_cached_encodings_are_compact(self, prompt_model, pairs):
+        # entries live as long as the cache: one int32 per token id and
+        # one byte per duplicate flag
+        engine = small_engine()
+        engine.predict_proba(prompt_model, pairs)
+        for enc in engine.encodings(prompt_model, pairs):
+            assert enc.ids.dtype == np.int32
+            assert enc.dup_flags.dtype == np.int8
+            assert enc.dup_flags.shape == enc.ids.shape
+
     def test_same_id_different_content_re_encodes(self, prompt_model, pairs):
         """Cache keys are content-addressed: a record replaced under the
         same id (the serving catalog supports this) must miss, not hit the
