@@ -3,12 +3,12 @@
 Two arms, one ``BENCH_pprl.json``:
 
 * **kernel** -- one packed query filter scored against a large synthetic
-  catalog.  The vectorized arm is the serving hot path
-  (:func:`repro.privacy.dice_topk`: SWAR popcount, blocked AND into a
-  recycled scratch buffer, streaming top-k pool); the naive arm is the
-  per-pair pure-Python loop (:func:`naive_dice_scores`, ``bin().count``
-  per word), timed on a row subsample and extrapolated to the full
-  catalog.  The top-k ids of both arms must agree exactly (the kernels
+  catalog.  The vectorized arm is the blocking hot path
+  (:func:`repro.privacy.dice_topk`: ``np.bitwise_count`` popcount,
+  blocked AND into a recycled scratch buffer, streaming top-k pool);
+  the naive arm is the per-pair pure-Python loop
+  (:func:`naive_dice_scores`, ``bin().count`` per word), timed on a row
+  subsample and extrapolated to the full catalog.  The top-k ids of both arms must agree exactly (the kernels
   are a full scan -- any disagreement is a bit-level bug, not an
   approximation), and the speedup must clear 10x.
 

@@ -171,10 +171,10 @@ class AnnIndex:
             # replace writes codes in place, so scoring must not read them
             codes = self._store["codes"][rows]
             scales = self._store["scales"][rows]
-            ids = [self._store.ids[row] for row in rows]
+            ids = list(self._store.ids)
         scores = fused_scaled_dot(query, codes, scales)
         keep = topk_candidates(scores, k)
-        ranked = sorted(((float(scores[i]), ids[i]) for i in keep),
+        ranked = sorted(((float(scores[i]), ids[rows[i]]) for i in keep),
                         key=lambda item: (-item[0], item[1]))
         return [(record_id, score) for score, record_id in ranked[:k]]
 

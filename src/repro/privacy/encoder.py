@@ -52,11 +52,8 @@ HARDENING_MODES = ("none", "balance", "fold")
 #: words / digits / printable punctuation)
 _PAD = "\x00"
 
-#: entries kept in the per-encoder gram -> (h1, h2) memo
+#: entries kept in the per-encoder gram -> bit-positions memo
 _GRAM_CACHE_CAP = 65536
-
-_WORD_WEIGHTS = np.left_shift(
-    np.uint64(1), np.arange(WORD_BITS, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ class ClkEncoder:
             raise ValueError("salt must be non-empty")
         self._salt = bytes(salt)
         self.config = config if config is not None else ClkConfig()
-        self._gram_memo: Dict[str, Tuple[int, int]] = {}
+        self._gram_memo: Dict[str, np.ndarray] = {}
         self._perm = None  # lazily built balance permutation
 
     # -- key material -------------------------------------------------
@@ -167,17 +164,13 @@ class ClkEncoder:
         return sorted(grams)
 
     def _gram_hashes(self, gram: str) -> Tuple[int, int]:
-        """Double-hashing seeds for one gram: keyed, memoized.
+        """Double-hashing seeds for one gram, keyed by the salt.
 
         ``h1``/``h2`` are independent HMAC-SHA256 outputs under the salt
         (domain-separated); ``h2`` is forced odd so the double-hash probe
         sequence ``h1 + i * h2 (mod nbits)`` cycles the full filter when
         ``nbits`` is a power of two.
         """
-        memo = self._gram_memo
-        cached = memo.get(gram)
-        if cached is not None:
-            return cached
         data = gram.encode("utf-8")
         h1 = int.from_bytes(
             hmac.new(self._salt, b"clk-h1|" + data, hashlib.sha256).digest()[:8],
@@ -185,9 +178,6 @@ class ClkEncoder:
         h2 = int.from_bytes(
             hmac.new(self._salt, b"clk-h2|" + data, hashlib.sha256).digest()[:8],
             "big") | 1
-        if len(memo) >= _GRAM_CACHE_CAP:
-            memo.clear()
-        memo[gram] = (h1, h2)
         return h1, h2
 
     def gram_bits(self, gram: str) -> List[int]:
@@ -196,12 +186,34 @@ class ClkEncoder:
         nbits = self.config.nbits
         return [(h1 + i * h2) % nbits for i in range(self.config.num_hashes)]
 
+    def _gram_positions(self, gram: str) -> np.ndarray:
+        """:meth:`gram_bits` as a memoized ``int32`` array.
+
+        Reduces the 64-bit seeds first: ``(h1 % n + i * (h2 % n)) % n``
+        equals ``(h1 + i * h2) % n`` for every ``n``, and keeps the whole
+        probe sequence inside int64.
+        """
+        memo = self._gram_memo
+        positions = memo.get(gram)
+        if positions is None:
+            h1, h2 = self._gram_hashes(gram)
+            nbits = self.config.nbits
+            steps = np.arange(self.config.num_hashes, dtype=np.int64)
+            positions = ((h1 % nbits + steps * (h2 % nbits))
+                         % nbits).astype(np.int32)
+            if len(memo) >= _GRAM_CACHE_CAP:
+                memo.clear()
+            memo[gram] = positions
+        return positions
+
     # -- encoding -----------------------------------------------------
     def encode_record(self, record: EntityRecord) -> np.ndarray:
         """One record -> packed uint64 filter of ``config.words`` words."""
         bits = np.zeros(self.config.nbits, dtype=bool)
-        for gram in self.qgrams(record):
-            bits[self.gram_bits(gram)] = True
+        grams = self.qgrams(record)
+        if grams:
+            bits[np.concatenate(
+                [self._gram_positions(gram) for gram in grams])] = True
         packed = self._harden_and_pack(bits)
         tel = get_telemetry()
         if tel.enabled:
@@ -254,8 +266,8 @@ class ClkEncoder:
         position ``i % 64`` -- the layout every kernel, the catalog file,
         and the base64 wire helpers all assume.
         """
-        words = bits.reshape(-1, WORD_BITS).astype(np.uint64)
-        return (words * _WORD_WEIGHTS).sum(axis=1, dtype=np.uint64)
+        packed = np.packbits(bits, bitorder="little").view("<u8")
+        return packed.astype(np.uint64, copy=False)
 
     # -- bookkeeping --------------------------------------------------
     def params(self) -> Dict[str, object]:

@@ -17,11 +17,15 @@ embeddings.  Two deployment shapes share this class:
 
 Storage is a :class:`repro.data.rowstore.RowStore`, as in
 :class:`repro.ann.AnnIndex`: a growable packed matrix with per-row
-popcounts, a row -> id ribbon with ``None`` tombstones, and a free list
-so removes recycle rows.  Re-adding an id replaces the old filter in
-place (the replace-on-readd contract the regression tests pin).  Search
-snapshots live rows under the lock and scores outside it; results follow
-the deterministic ``(-score, record_id)`` ordering.
+popcounts and live flags, a row -> id ribbon with ``None`` tombstones, and
+a free list so removes recycle rows.  Re-adding an id replaces the old
+filter in place (the replace-on-readd contract the regression tests pin).
+Search takes one locked snapshot -- the query ANDed with every stored row,
+plus copies of the popcounts, live flags and ids -- and computes the
+hardware popcount Dice outside the lock; a concurrent remove + add that
+recycles a row can therefore never pair one id with another record's
+score.  Results follow the deterministic ``(-score, record_id)``
+ordering.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from ..data.records import EntityRecord
 from ..data.rowstore import RowStore
 from ..obs import get_telemetry
 from .encoder import ClkEncoder
-from .kernels import dice_topk, popcount
+from .kernels import dice_from_counts, popcount, topk_candidates
 
 #: initial packed-matrix capacity (rows); doubles on growth
 _INITIAL_CAPACITY = 64
@@ -68,7 +72,8 @@ class ClkCandidateIndex:
         self._lock = threading.RLock()
         self._store = RowStore(_INITIAL_CAPACITY,
                                filters=((self.words,), np.uint64, 0),
-                               pops=((), np.int64, 0))
+                               pops=((), np.int64, 0),
+                               live=((), bool, False))
         self._records: Dict[str, EntityRecord] = {}
 
     # -- size / membership --------------------------------------------
@@ -113,6 +118,7 @@ class ClkCandidateIndex:
                 row = self._store.take(record_id)
             self._store["filters"][row] = clk
             self._store["pops"][row] = pop
+            self._store["live"][row] = True
             if record is not None:
                 self._records[record_id] = record
             else:
@@ -169,9 +175,11 @@ class ClkCandidateIndex:
                ) -> List[Tuple[str, float]]:
         """Top-k ``(record_id, dice)`` for a packed query filter.
 
-        Live rows are snapshotted under the lock; the popcount kernels run
-        outside it (array reallocation on growth leaves the snapshot's
-        references valid).  Ties at the k-th score resolve by record id.
+        Under the lock the query is ANDed with every row up to the
+        high-water mark and the popcounts, live flags and ids are copied;
+        the popcounts and Dice run outside it on that snapshot, so every
+        score belongs to the id it is returned with.  Ties at the k-th
+        score resolve by record id.
         """
         k = self.default_k if k is None else int(k)
         if k < 1:
@@ -184,13 +192,18 @@ class ClkCandidateIndex:
         with self._lock:
             if not self._store:
                 return []
-            rows = self._store.live_rows()
+            # copy all that scoring reads: once the lock is released, a
+            # remove + add may hand any row to another id
+            n = len(self._store.ids)
+            shared = np.bitwise_and(self._store["filters"][:n], clk)
+            pops = self._store["pops"][:n].copy()
+            live = self._store["live"][:n].copy()
             ids = list(self._store.ids)
-            filters, pops = self._store["filters"], self._store["pops"]
-        pool_rows, pool_scores = dice_topk(clk, filters, k, pops=pops,
-                                           rows=rows)
-        found = [(ids[int(row)], float(score))
-                 for row, score in zip(pool_rows, pool_scores)]
+        scores = dice_from_counts(popcount(shared), pops, int(popcount(clk)))
+        rows = np.flatnonzero(live)
+        scores = scores[rows]
+        found = [(ids[rows[i]], float(scores[i]))
+                 for i in topk_candidates(scores, k)]
         if self.min_score is not None:
             found = [(rid, score) for rid, score in found
                      if score >= self.min_score]
@@ -224,8 +237,9 @@ class ClkCandidateIndex:
         with self._lock:
             live = len(self._store)
             capacity = self._store.capacity
-            fill = float(self._store["pops"][self._store.live_rows()].mean()
-                         / (self.words * 64)) if live else 0.0
+            n = len(self._store.ids)
+            pops = self._store["pops"][:n][self._store["live"][:n]]
+            fill = float(pops.mean() / (self.words * 64)) if live else 0.0
             return {
                 "kind": self.kind,
                 "records": live,

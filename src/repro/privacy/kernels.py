@@ -5,10 +5,11 @@ A CLK (cryptographic long-term key) is a fixed-length Bloom filter packed
 against many stored filters, keep the top-k by Dice"; three things make it
 fast here, mirroring :mod:`repro.ann.kernels`:
 
-* **bit-twiddling popcount** -- per-word population counts come from the
-  branch-free SWAR ladder (mask-add halves, then the ``* 0x0101..`` fold),
-  four vectorized integer ops per word instead of a Python loop over bits.
-  A 256-entry byte-LUT variant (:func:`popcount_bytes`) cross-checks it;
+* **hardware popcount** -- per-word population counts come from one
+  ``np.bitwise_count`` ufunc call (numpy >= 2.0), which compiles to the
+  CPU's popcount instruction where there is one, instead of a Python loop
+  over bits.  A 256-entry byte-LUT variant (:func:`popcount_bytes`)
+  cross-checks it;
 * **fused AND-popcount Dice** -- a query is scored against a *block* of
   packed filters by ANDing into a recycled per-thread scratch buffer,
   popcounting in place, and folding the precomputed per-filter weights
@@ -40,15 +41,8 @@ WORD_BITS = 64
 #: scratch (BLOCK_ROWS x words) stays comfortably inside L2/L3
 BLOCK_ROWS = 8192
 
-# SWAR popcount constants (Hacker's Delight fig. 5-2), one uint64 each
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-_S1, _S2, _S4, _S56 = (np.uint64(s) for s in (1, 2, 4, 56))
-
 #: 256-entry byte lookup table -- the classic LUT popcount, kept as an
-#: independent implementation to cross-check the bit-twiddling ladder
+#: independent implementation to cross-check ``np.bitwise_count``
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 _scratch = threading.local()
@@ -69,31 +63,26 @@ def _scratch_buf(key: str, shape: Tuple[int, ...], dtype=np.uint64) -> np.ndarra
 # Popcount
 # ----------------------------------------------------------------------
 def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Per-word population counts via the SWAR bit-twiddling ladder.
+    """Per-word population counts via ``np.bitwise_count``.
 
     ``words`` is uint64 of any shape; the result is uint64 of the same
-    shape with each element in ``[0, 64]``.  Branch-free and fully
-    vectorized: two masked half-adds, a nibble fold, then the multiply
-    trick that sums the eight byte counts into the top byte.
+    shape with each element in ``[0, 64]``.
     """
-    x = np.asarray(words, dtype=np.uint64).copy()
-    x -= (x >> _S1) & _M1
-    x = (x & _M2) + ((x >> _S2) & _M2)
-    x = (x + (x >> _S4)) & _M4
-    return (x * _H01) >> _S56
+    counts = np.bitwise_count(np.asarray(words, dtype=np.uint64))
+    return counts.astype(np.uint64)
 
 
 def popcount(packed: np.ndarray) -> np.ndarray:
     """Per-row set-bit counts of packed filters: ``(..., W) -> (...)`` int64."""
     packed = np.asarray(packed, dtype=np.uint64)
-    return popcount_words(packed).sum(axis=-1).astype(np.int64)
+    return np.bitwise_count(packed).sum(axis=-1, dtype=np.int64)
 
 
 def popcount_bytes(packed: np.ndarray) -> np.ndarray:
     """Per-row counts via the 256-entry byte LUT (cross-check implementation).
 
     Views the packed words as bytes and gathers through :data:`_POPCOUNT8`;
-    independent of the SWAR ladder, used by tests and the benchmark to pin
+    independent of ``np.bitwise_count``, used by tests and the benchmark to pin
     both against the pure-Python reference.
     """
     packed = np.ascontiguousarray(packed, dtype=np.uint64)
@@ -134,11 +123,25 @@ def dice_scores(query: np.ndarray, filters: np.ndarray,
         stop = min(start + block, rows)
         chunk = inter[: stop - start]
         np.bitwise_and(filters[start:stop], query, out=chunk)
-        shared = popcount(chunk)
-        denom = pops[start:stop] + query_pop
-        seg = out[start:stop]
-        seg[:] = 0.0
-        np.divide(2.0 * shared, denom, out=seg, where=denom > 0)
+        dice_from_counts(popcount(chunk), pops[start:stop], query_pop,
+                         out=out[start:stop])
+    return out
+
+
+def dice_from_counts(shared: np.ndarray, pops: np.ndarray, query_pop: int,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Dice from set-bit counts: ``2.0 * shared / (pops + query_pop)``.
+
+    ``shared`` holds per-row ``|A∩B|`` and ``pops`` per-row ``|B|``; rows
+    whose denominator is 0 (both filters empty) score 0.0.  Every
+    vectorised Dice path goes through here, so all of them round alike
+    and match :func:`dice_reference` bit for bit.
+    """
+    denom = pops + query_pop
+    if out is None:
+        out = np.empty(len(denom), dtype=np.float64)
+    out[:] = 0.0
+    np.divide(2.0 * shared, denom, out=out, where=denom > 0)
     return out
 
 

@@ -13,7 +13,10 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data.records import EntityRecord
 from repro.privacy import (
     HARDENING_MODES, ClkConfig, ClkEncoder, clk_from_bytes, clk_to_bytes,
     popcount,
@@ -194,6 +197,52 @@ class TestGramOracle:
         np.testing.assert_array_equal(encoder.encode_record(record),
                                       expected)
 
+    @given(config=st.one_of(
+               st.builds(ClkConfig,
+                         nbits=st.sampled_from((64, 192, 256, 320, 1024)),
+                         num_hashes=st.integers(1, 40),
+                         qgram=st.integers(1, 3),
+                         hardening=st.sampled_from(("none", "balance"))),
+               st.builds(ClkConfig,
+                         nbits=st.sampled_from((128, 384, 1024)),
+                         num_hashes=st.integers(1, 40),
+                         qgram=st.integers(1, 3),
+                         hardening=st.just("fold"))),
+           text=st.text(max_size=40))
+    @settings(max_examples=120, deadline=None)
+    def test_encode_matches_oracle_and_old_packing(self, config, text):
+        # nbits 192/320/384 are not powers of two: the memoized positions
+        # reduce h1/h2 mod nbits first, which must stay exact there too
+        encoder = ClkEncoder(SALT, config)
+        record = EntityRecord.text_record("p", text)
+        bits = np.zeros(config.nbits, dtype=bool)
+        for gram in encoder.qgrams(record):
+            bits[encoder.gram_bits(gram)] = True
+        if config.hardening == "balance":
+            bits = np.concatenate([bits, ~bits])[encoder._balance_perm()]
+        expected = old_pack(bits)
+        if config.hardening == "fold":
+            half = len(expected) // 2
+            expected = expected[:half] ^ expected[half:]
+        got = encoder.encode_record(record)
+        assert got.dtype == np.uint64 and got.shape == (config.words,)
+        np.testing.assert_array_equal(got, expected)
+        # a second pass reads the memoized positions
+        np.testing.assert_array_equal(encoder.encode_record(record), got)
+
+    def test_gram_memo_bounded(self, monkeypatch):
+        from repro.privacy import encoder as encoder_module
+
+        record = make_record(5)
+        expected = ClkEncoder(SALT).encode_record(record)
+        monkeypatch.setattr(encoder_module, "_GRAM_CACHE_CAP", 4)
+        encoder = ClkEncoder(SALT)
+        assert len(encoder.qgrams(record)) > 4
+        for _ in range(2):
+            np.testing.assert_array_equal(encoder.encode_record(record),
+                                          expected)
+            assert len(encoder._gram_memo) <= 4
+
     def test_qgrams_sorted_unique(self):
         grams = ClkEncoder(SALT).qgrams(make_record(0))
         assert grams == sorted(set(grams))
@@ -205,6 +254,14 @@ class TestGramOracle:
         empty = EntityRecord(record_id="e", kind="relational", values={})
         clk = ClkEncoder(SALT).encode_record(empty)
         assert int(popcount(clk)) == 0
+
+
+def old_pack(bits):
+    """The multiply-and-sum bool -> uint64 packing the encoder used before
+    ``np.packbits``: bit ``i`` at word ``i // 64``, in-word bit ``i % 64``."""
+    weights = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    words = bits.reshape(-1, 64).astype(np.uint64)
+    return (words * weights).sum(axis=1, dtype=np.uint64)
 
 
 class TestWireBytes:

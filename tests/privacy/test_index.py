@@ -1,11 +1,16 @@
 """ClkCandidateIndex tests: replace-on-readd (mirroring
 ``tests/ann/test_index.py::test_replace_on_readd``), tombstone row reuse,
-growth, tie ordering, and the cross-party/single-party split."""
+growth, tie ordering, the cross-party/single-party split, and search
+against a remove + add that recycles a row mid-search."""
 
 import numpy as np
 import pytest
 
-from repro.privacy import ClkCandidateIndex, ClkConfig, ClkEncoder
+from repro.privacy import (
+    ClkCandidateIndex, ClkConfig, ClkEncoder, dice_reference,
+)
+from repro.privacy import index as index_module
+from repro.privacy import kernels
 from repro.privacy.index import _INITIAL_CAPACITY
 
 from .conftest import make_record, make_records
@@ -192,3 +197,60 @@ class TestPartyModes:
         assert index.add_clk_many(entries) == 4
         assert index.add_clk_many(entries[:2]) == 0  # replacements
         assert len(index) == 4
+
+
+def exact_answer(query, filters, k):
+    """``(id, dice)`` top-k over ``{id: filter}`` with the index's order."""
+    scored = [(rid, dice_reference([int(w) for w in query],
+                                   [int(w) for w in clk]))
+              for rid, clk in filters.items()]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:k]
+
+
+class TestSearchSnapshot:
+    """A remove (and an add that recycles the freed row) landing between
+    the search's locked snapshot and its scoring.  The hook runs inside
+    the first popcount the search makes after taking the snapshot, so the
+    interleaving is forced rather than left to thread timing."""
+
+    A = np.array([0x0F, 0x0, 0x0, 0x0], dtype=np.uint64)
+    B = np.array([0xFF00, 0xFF, 0x0, 0x0], dtype=np.uint64)
+    C = np.array([0xF000, 0x0F, 0x0, 0x0], dtype=np.uint64)
+    QUERY = np.array([0xFF03, 0xFF, 0x0, 0x0], dtype=np.uint64)
+
+    @pytest.mark.parametrize("recycle", [False, True])
+    def test_mutation_mid_search_keeps_ids_and_scores_paired(
+            self, monkeypatch, recycle):
+        index = ClkCandidateIndex(words=4)
+        index.add_clk("A", self.A)
+        index.add_clk("C", self.C)
+        query = self.QUERY
+        before = {"A": self.A, "C": self.C}
+        after = {"C": self.C}
+        if recycle:
+            after["B"] = self.B
+        pre = exact_answer(query, before, k=3)
+        post = exact_answer(query, after, k=3)
+        assert pre != post
+
+        real = kernels.popcount
+        fired = []
+
+        def mutate_then_count(packed):
+            if not fired:
+                fired.append(True)
+                index.remove("A")
+                if recycle:
+                    index.add_clk("B", self.B)  # takes A's freed row
+            return real(packed)
+
+        monkeypatch.setattr(kernels, "popcount", mutate_then_count)
+        monkeypatch.setattr(index_module, "popcount", mutate_then_count)
+        got = index.search(query, k=3)
+        assert fired
+        # one consistent state: every id carries the score of the filter
+        # it held then, and no id the snapshot did not hold appears
+        assert got in (pre, post)
+        monkeypatch.undo()
+        assert index.search(query, k=3) == post

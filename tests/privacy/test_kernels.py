@@ -1,10 +1,10 @@
 """Kernel property tests: packed popcount/Dice must agree EXACTLY with
 the pure-Python ``bin().count("1")`` reference -- not approximately.
 
-The SWAR ladder, the byte-LUT cross-check, and the reference are three
-independent implementations; equality across all three on arbitrary
-bitsets (random, empty, all-ones, mismatched cardinalities) pins the bit
-twiddling.  Dice agreement is asserted with ``==`` on float64: the
+The hardware ``np.bitwise_count`` path, the byte-LUT cross-check, and
+the reference are three independent implementations; equality across all
+three on arbitrary bitsets (random, empty, all-ones, mismatched
+cardinalities) pins the bit counting.  Dice agreement is asserted with ``==`` on float64: the
 vectorized kernel and :func:`dice_reference` perform the same IEEE
 operations in the same order, so any drift is a real kernel change.
 """
@@ -18,7 +18,7 @@ from repro.privacy import (
     dice_reference, dice_scores, dice_topk, naive_dice_scores, popcount,
     popcount_bytes, popcount_reference, topk_candidates,
 )
-from repro.privacy.kernels import BLOCK_ROWS, popcount_words
+from repro.privacy.kernels import BLOCK_ROWS, dice_from_counts, popcount_words
 
 uint64s = st.integers(min_value=0, max_value=2 ** 64 - 1)
 
@@ -68,6 +68,13 @@ class TestPopcount:
         assert popcount_words(packed).shape == (2, 3, 4)
         assert popcount(packed).shape == (2, 3)
 
+    def test_output_dtypes(self):
+        packed = np.ones((3, 2), dtype=np.uint64)
+        assert popcount_words(packed).dtype == np.uint64
+        assert popcount(packed).dtype == np.int64
+        assert popcount(packed[0]).dtype == np.int64
+        assert dice_scores(packed[0], packed).dtype == np.float64
+
 
 class TestDice:
     @given(st.lists(uint64s, min_size=2, max_size=2),
@@ -104,6 +111,16 @@ class TestDice:
         expected = 2.0 * 1 / (1 + 64)
         assert dice_scores(a, b)[0] == expected
         assert dice_reference([1, 0], [2 ** 64 - 1, 0]) == expected
+
+    @given(st.lists(uint64s, min_size=2, max_size=2),
+           st.lists(st.lists(uint64s, min_size=2, max_size=2),
+                    min_size=1, max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_from_counts_matches_reference(self, query, rows):
+        shared = popcount(words_array(rows) & words_array(query))
+        scores = dice_from_counts(shared, popcount(words_array(rows)),
+                                  popcount_reference(query))
+        assert scores.tolist() == [dice_reference(query, row) for row in rows]
 
     def test_reference_rejects_word_length_mismatch(self):
         with pytest.raises(ValueError):
