@@ -12,7 +12,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor
+from .tensor import Tensor, get_default_dtype
 
 
 class Linear(Module):
@@ -130,18 +130,29 @@ class Dropout(Module):
         self.seed_salt = next(_DROPOUT_SALTS)
 
     def _seeded_mask(self, shape, seeds: Sequence[int],
-                     batch_index: int, base_seed: int) -> Optional[np.ndarray]:
-        """Tile-wise mask: rows split across ``seeds``; None if not tileable."""
+                     batch_index: int, base_seed: int,
+                     dtype=None) -> Optional[np.ndarray]:
+        """Tile-wise mask: rows split across ``seeds``; None if not tileable.
+
+        Built in ``dtype`` (default: the autograd default dtype) in one
+        pass: each tile's float64 draws ``u`` become ``(u >= p) * s`` with
+        ``s = dtype(1 / (1 - p))``, written straight into its slice. The
+        kept entries are exactly ``s``, so the mask is byte-identical to
+        ``((u >= p) / (1 - p)).astype(dtype)``.
+        """
         tiles = len(seeds)
         if not shape or shape[0] % tiles != 0:
             return None
-        per_tile = (shape[0] // tiles,) + tuple(shape[1:])
-        parts = []
-        for seed in seeds:
+        dtype = np.dtype(dtype if dtype is not None else get_default_dtype())
+        scale = dtype.type(1.0 / (1.0 - self.p))
+        per = shape[0] // tiles
+        mask = np.empty(shape, dtype)
+        for k, seed in enumerate(seeds):
             rng = np.random.default_rng(
                 [int(base_seed), int(seed), int(batch_index), self.seed_salt])
-            parts.append((rng.random(per_tile) >= self.p) / (1.0 - self.p))
-        return parts[0] if tiles == 1 else np.concatenate(parts, axis=0)
+            np.multiply(rng.random((per,) + tuple(shape[1:])) >= self.p,
+                        scale, out=mask[k * per:(k + 1) * per])
+        return mask
 
     def forward(self, x: Tensor, seed: Optional[int] = None) -> Tensor:
         if not self.training or self.p <= 0.0:

@@ -13,9 +13,21 @@ for op, in the same order. Guarantees:
 * **same randomness** -- dropout masks come from the very same
   :class:`~repro.autograd.Dropout` modules (plan-aware seeded masks, or
   the module's own rng as a fallback), so MC-Dropout draws are unchanged;
-* **less work** -- the MLM head runs only at the [MASK] positions
-  ((B, D) instead of (B, T, D) -> 1/T of the decoder matmul), and
-  duplicate-token flags are memoized per encoding;
+* **less work** -- both heads read one row per sequence (the [MASK]
+  position, Eq. 1; [CLS] for the classifier), so the last encoder block
+  runs only there: K/V at every position, but the query, attention,
+  out-projection, layer norms, FFN and adapters at that row alone
+  (``encoder_hidden(..., rows=...)``), and the MLM head projects
+  (B, D) instead of (B, T, D). The prompt matrix (the P-tuning BiLSTM's
+  output, a function of its weights only) is memoised per prompt-encoder
+  module on an exact comparison of its weights, and duplicate-token flags
+  are memoized per encoding. The row block is byte-identical to the full
+  block where the BLAS sgemm kernel rounds a row subset like the whole
+  product (OpenBLAS's SkylakeX kernel, verified) and within float32
+  round-off elsewhere (Haswell: up to ~1.5e-6 on a hidden state, ~2e-7
+  on a probability); a lone row in that block is padded to two so BLAS
+  never takes its gemv path, and its dropout masks are drawn at full size
+  and indexed;
 * **less memory traffic** -- kernels run in place on owned temporaries
   (same operation order, so bit-identical results), q/k/v come from one
   fused (D, 3D) projection, the big attention matmuls write into
@@ -29,15 +41,24 @@ the recorded Tensor path, which remains the reference implementation.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..autograd.layers import active_dropout_plan
+from ..autograd.module import Module
+from ..autograd.tensor import get_default_dtype, no_grad
 
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 _scratch = threading.local()
+
+#: prompt-encoder module -> (weights key, prompt matrix); see prompt_matrix.
+#: Weakly keyed, so an entry dies with its module and never rides along
+#: when a model is pickled or copied; content-keyed, so no caller can see
+#: a matrix that another caller's weights produced.
+_prompt_memo: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _scratch_buf(key: str, shape, dtype) -> np.ndarray:
@@ -57,18 +78,39 @@ def _scratch_buf(key: str, shape, dtype) -> np.ndarray:
     return buf
 
 
-def _apply_dropout(module, x: np.ndarray) -> np.ndarray:
-    """Numpy twin of ``Dropout.forward`` (no per-call seed variant)."""
+def _dropout_mask(module, shape, dtype) -> Optional[np.ndarray]:
+    """The mask ``Dropout.forward`` draws for an input of ``shape``.
+
+    None when the module is off. A plan-aware seeded mask when a
+    :class:`~repro.autograd.DropoutPlan` is active (and the batch tiles),
+    else one draw from the module's own rng.
+    """
     if not module.training or module.p <= 0.0:
-        return x
+        return None
     plan = active_dropout_plan()
     if plan is not None:
-        mask = module._seeded_mask(x.shape, plan.pass_seeds,
-                                   plan.batch_index, plan.base_seed)
+        mask = module._seeded_mask(shape, plan.pass_seeds, plan.batch_index,
+                                   plan.base_seed, dtype=dtype)
         if mask is not None:
-            return x * mask.astype(x.dtype)
-    mask = (module.rng.random(x.shape) >= module.p) / (1.0 - module.p)
-    return x * mask.astype(x.dtype)
+            return mask
+    mask = (module.rng.random(shape) >= module.p) / (1.0 - module.p)
+    return mask.astype(dtype)
+
+
+def _apply_dropout(module, x: np.ndarray, full_shape=None,
+                   pick=None) -> np.ndarray:
+    """Numpy twin of ``Dropout.forward`` (no per-call seed variant).
+
+    With ``pick``, ``x`` holds only ``full[pick]`` of a sublayer output of
+    ``full_shape``: the mask is still drawn at full size -- the very draws
+    (and the rng state after them) of a full forward -- and indexed by
+    ``pick``, so the kept rows are masked exactly as before.
+    """
+    shape = x.shape if pick is None else full_shape
+    mask = _dropout_mask(module, shape, x.dtype)
+    if mask is None:
+        return x
+    return x * (mask if pick is None else mask[pick])
 
 
 def _linear(fc, x: np.ndarray) -> np.ndarray:
@@ -76,6 +118,18 @@ def _linear(fc, x: np.ndarray) -> np.ndarray:
     if fc.bias is not None:
         out += fc.bias.data
     return out
+
+
+def _row_linear(fc, x: np.ndarray) -> np.ndarray:
+    """``_linear`` on (B, D) rows picked out of a (B, T, D) activation.
+
+    A one-row ``(1, K) @ (K, N)`` goes to gemv, which rounds differently
+    from the gemm that computes the same row inside the full product, so
+    a lone row is padded to two and sliced back.
+    """
+    if x.shape[0] == 1:
+        return _linear(fc, np.concatenate((x, x)))[:1]
+    return _linear(fc, x)
 
 
 def _layer_norm(ln, x: np.ndarray) -> np.ndarray:
@@ -120,77 +174,145 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _attention(attn, x: np.ndarray,
-               score_mask: Optional[np.ndarray]) -> np.ndarray:
+def _attention(attn, x: np.ndarray, score_mask: Optional[np.ndarray],
+               pick=None) -> np.ndarray:
+    """Self-attention sublayer: (B, T, D) -> (B, T, D).
+
+    With ``pick = (arange(B), rows)`` only query row ``rows[b]`` of each
+    sequence is attended from, giving (B, D): K and V are still projected
+    at every position, but the query, scores, softmax, attention dropout,
+    context and out-projection exist for one row per sequence.
+    """
     batch, seq, _ = x.shape
+    heads, d_head = attn.num_heads, attn.d_head
+    dt = x.dtype.type
 
-    # One fused (D, 3D) projection instead of three (D, D) GEMMs. The
-    # column-blocked GEMM reduces over the same K axis in the same order,
-    # so each q/k/v element is bit-identical to its separate projection.
-    qkv_weight = np.concatenate(
-        (attn.q_proj.weight.data, attn.k_proj.weight.data,
-         attn.v_proj.weight.data), axis=1)
-    qkv = x @ qkv_weight
+    # One fused (D, 3D) -- or, for picked rows, (D, 2D) K/V -- projection
+    # instead of separate (D, D) GEMMs. The column-blocked GEMM reduces
+    # over the same K axis in the same order, so each element is
+    # bit-identical to its separate projection.
+    projs = ((attn.q_proj, attn.k_proj, attn.v_proj) if pick is None
+             else (attn.k_proj, attn.v_proj))
+    fused = x @ np.concatenate([p.weight.data for p in projs], axis=1)
     if attn.q_proj.bias is not None:
-        qkv += np.concatenate(
-            (attn.q_proj.bias.data, attn.k_proj.bias.data,
-             attn.v_proj.bias.data))
+        fused += np.concatenate([p.bias.data for p in projs])
 
-    # (B, T, 3D) -> (B, T, 3, H, d_head): a pure view of the fused output,
+    # (B, T, nD) -> (B, T, n, H, d_head): a pure view of the fused output,
     # so q/k/v never get copied out
-    qkv = qkv.reshape(batch, seq, 3, attn.num_heads, attn.d_head)
-    q = qkv[:, :, 0].transpose(0, 2, 1, 3)
-    k = qkv[:, :, 1].transpose(0, 2, 1, 3)
-    v = qkv[:, :, 2].transpose(0, 2, 1, 3)
-    scores = _scratch_buf("scores", (batch, attn.num_heads, seq, seq), x.dtype)
-    np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
-    scores *= x.dtype.type(attn.scale)
+    fused = fused.reshape(batch, seq, len(projs), heads, d_head)
+    k = fused[:, :, -2].transpose(0, 2, 1, 3)
+    v = fused[:, :, -1].transpose(0, 2, 1, 3)
+    if pick is None:
+        q = fused[:, :, 0].transpose(0, 2, 1, 3)
+        scores = _scratch_buf("scores", (batch, heads, seq, seq), x.dtype)
+        np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
+        scores *= dt(attn.scale)
+    else:
+        q = _row_linear(attn.q_proj, x[pick]).reshape(batch, heads, 1, d_head)
+        # each head's query row twice: a (1, d) @ (d, T) would go to gemv
+        scores = np.matmul(np.repeat(q, 2, axis=2), k.transpose(0, 1, 3, 2))
+        scores = scores[:, :, 0] * dt(attn.scale)  # (B, H, T), owned
+        if score_mask is not None:
+            score_mask = score_mask[:, :, 0]
     if score_mask is not None:
-        np.copyto(scores, x.dtype.type(-1e9), where=score_mask)
-    weights = _apply_dropout(attn.attn_dropout, _softmax(scores))
-    context = _scratch_buf(
-        "context", (batch, attn.num_heads, seq, attn.d_head), x.dtype)
+        np.copyto(scores, dt(-1e9), where=score_mask)
+    weights = _apply_dropout(
+        attn.attn_dropout, _softmax(scores), (batch, heads, seq, seq),
+        None if pick is None else (pick[0], slice(None), pick[1]))
+    if pick is not None:
+        context = np.matmul(np.repeat(weights[:, :, None], 2, axis=2), v)
+        return _row_linear(attn.out_proj,
+                           context[:, :, 0].reshape(batch, attn.d_model))
+    context = _scratch_buf("context", (batch, heads, seq, d_head), x.dtype)
     np.matmul(weights, v, out=context)
     context = context.transpose(0, 2, 1, 3)
     return _linear(attn.out_proj, context.reshape(batch, seq, attn.d_model))
 
 
-def encoder_hidden(lm, embeds: np.ndarray,
-                   pad_mask: Optional[np.ndarray]) -> np.ndarray:
-    """The TransformerEncoder stack on raw arrays: (B, T, D) -> (B, T, D)."""
+def _block(layer, x: np.ndarray, score_mask: Optional[np.ndarray],
+           pick=None) -> np.ndarray:
+    """One encoder layer; with ``pick`` only its output rows ``x[pick]``."""
+    full = x.shape
+    linear = _linear if pick is None else _row_linear
+    attn_out = _apply_dropout(
+        layer.dropout, _attention(layer.attention, x, score_mask, pick),
+        full, pick)
+    adapter = getattr(layer, "adapter_attn", None)
+    if adapter is not None:
+        _adapter(adapter, attn_out, linear)
+    # residual, in place on the fresh projection output
+    attn_out += x if pick is None else x[pick]
+    x = _layer_norm(layer.norm1, attn_out)
+    ffn = layer.ffn
+    ffn_out = _apply_dropout(
+        ffn.dropout, linear(ffn.fc2, _gelu(linear(ffn.fc1, x))), full, pick)
+    adapter = getattr(layer, "adapter_ffn", None)
+    if adapter is not None:
+        _adapter(adapter, ffn_out, linear)
+    ffn_out += x
+    return _layer_norm(layer.norm2, ffn_out)
+
+
+def encoder_hidden(lm, embeds: np.ndarray, pad_mask: Optional[np.ndarray],
+                   rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """The TransformerEncoder stack on raw arrays: (B, T, D) -> (B, T, D).
+
+    ``rows`` (B ints) asks for hidden row ``rows[b]`` of each sequence
+    only and returns (B, D), equal to ``encoder_hidden(...)[arange(B),
+    rows]``: every block but the last runs in full, and the last one runs
+    only at the selected rows (see :func:`_attention`). Dropout masks are
+    drawn at full size and indexed, so MC-Dropout draws are unchanged.
+    """
     # A no-padding batch (length-homogeneous bucket) masks nothing; skip
     # the (B, H, T, T) masked fill entirely in that case.
     score_mask = (pad_mask[:, None, None, :]
                   if pad_mask is not None and pad_mask.any() else None)
+    layers = lm.encoder.layers
+    pick = None if rows is None else (np.arange(len(embeds)), rows)
     x = embeds
-    for layer in lm.encoder.layers:
-        attn_out = _apply_dropout(
-            layer.dropout, _attention(layer.attention, x, score_mask))
-        adapter = getattr(layer, "adapter_attn", None)
-        if adapter is not None:
-            _adapter(adapter, attn_out)
-        attn_out += x  # residual, in place on the fresh projection output
-        x = _layer_norm(layer.norm1, attn_out)
-        ffn = layer.ffn
-        ffn_out = _apply_dropout(
-            ffn.dropout, _linear(ffn.fc2, _gelu(_linear(ffn.fc1, x))))
-        adapter = getattr(layer, "adapter_ffn", None)
-        if adapter is not None:
-            _adapter(adapter, ffn_out)
-        ffn_out += x
-        x = _layer_norm(layer.norm2, ffn_out)
+    for i, layer in enumerate(layers):
+        x = _block(layer, x, score_mask,
+                   pick if i == len(layers) - 1 else None)
     return x
 
 
-def _adapter(adapter, x: np.ndarray) -> np.ndarray:
+def _adapter(adapter, x: np.ndarray, linear=_linear) -> np.ndarray:
     """PEFT bottleneck residual, in place on the owned sublayer output.
 
     Matches ``repro.core.peft.Adapter.forward`` elementwise: the delta is
     computed from the unmutated input, then added (``_gelu`` mutates only
     the owned down-projection temporary).
     """
-    x += _linear(adapter.up, _gelu(_linear(adapter.down, x)))
+    x += linear(adapter.up, _gelu(linear(adapter.down, x)))
     return x
+
+
+def prompt_matrix(encoder) -> np.ndarray:
+    """``encoder().data``, the (P, D) prompt matrix, memoised per module.
+
+    The P-tuning encoder (BiLSTM + MLP) and a soft prompt are
+    deterministic functions of their own weights, so the matrix is only
+    recomputed when those change. The memo is keyed on an exact byte
+    comparison of every parameter array (with dtype and shape), not on a
+    version counter: optimizer steps write weights in place, and
+    ``load_state_dict``, best-epoch restore, shared-memory adoption and
+    tenant binds overwrite or re-point them. The returned array is
+    read-only and shared. A non-module callable (the fused mixed-tenant
+    view's pre-stacked matrix) is simply called.
+    """
+    if not isinstance(encoder, Module):
+        return encoder().data
+    key = (np.dtype(get_default_dtype()).str,
+           [(p.data.dtype.str, p.data.shape, p.data.tobytes())
+            for p in encoder.parameters()])
+    entry = _prompt_memo.get(encoder)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    with no_grad():
+        matrix = np.array(encoder().data)
+    matrix.setflags(write=False)
+    _prompt_memo[encoder] = (key, matrix)
+    return matrix
 
 
 def _cached_dup_flags(lm, encodings, ids: np.ndarray) -> np.ndarray:
@@ -235,12 +357,12 @@ def prompt_forward_encoded(model, encodings: Sequence, tile: int = 1) -> np.ndar
 
     token_vecs = lm.token_embedding.weight.data[ids]
     if model.prompt_encoder is not None and is_prompt.any():
-        prompt_vecs = model.prompt_encoder().data  # tiny (P, D) Tensor forward
+        prompt_vecs = prompt_matrix(model.prompt_encoder)  # (P, D)
         gathered = prompt_vecs[prompt_idx.reshape(-1)].reshape(token_vecs.shape)
         token_vecs = np.where(is_prompt[:, :, None], gathered, token_vecs)
 
-    hidden = encoder_hidden(lm, _embed(lm, token_vecs, flags), pad_mask)
-    at_mask = hidden[np.arange(hidden.shape[0]), mask_positions]  # (B, D)
+    at_mask = encoder_hidden(lm, _embed(lm, token_vecs, flags), pad_mask,
+                             rows=mask_positions)  # (B, D)
     h = _layer_norm(lm.mlm_norm, _gelu(_linear(lm.mlm_transform, at_mask)))
     logits = h @ lm.token_embedding.weight.data.T + lm.mlm_bias.data
 
@@ -262,7 +384,8 @@ def cls_forward_encoded(model, ids: np.ndarray, pad_mask: np.ndarray,
     ids, pad_mask, flags = _tile(ids, tile), _tile(pad_mask, tile), _tile(flags, tile)
 
     token_vecs = lm.token_embedding.weight.data[ids]
-    hidden = encoder_hidden(lm, _embed(lm, token_vecs, flags), pad_mask)
-    pooled = np.tanh(_linear(lm.pooler, hidden[:, 0, :]))
+    cls = encoder_hidden(lm, _embed(lm, token_vecs, flags), pad_mask,
+                         rows=np.zeros(len(ids), dtype=np.int64))
+    pooled = np.tanh(_linear(lm.pooler, cls))
     pooled = _apply_dropout(model.head_dropout, pooled)
     return _softmax(_linear(model.head, pooled))

@@ -17,21 +17,24 @@ embeddings.  Two deployment shapes share this class:
 
 Storage is a :class:`repro.data.rowstore.RowStore`, as in
 :class:`repro.ann.AnnIndex`: a growable packed matrix with per-row
-popcounts and live flags, a row -> id ribbon with ``None`` tombstones, and
-a free list so removes recycle rows.  Re-adding an id replaces the old
-filter in place (the replace-on-readd contract the regression tests pin).
-Search takes one locked snapshot -- the query ANDed with every stored row,
-plus copies of the popcounts, live flags and ids -- and computes the
-hardware popcount Dice outside the lock; a concurrent remove + add that
-recycles a row can therefore never pair one id with another record's
-score.  Results follow the deterministic ``(-score, record_id)``
-ordering.
+popcounts, live flags and plaintext records, a row -> id ribbon with
+``None`` tombstones, and a free list so removes recycle rows.  Re-adding
+an id replaces the old filter in place (the replace-on-readd contract the
+regression tests pin). Search takes one locked snapshot -- the query
+ANDed with every stored row, plus copies of the popcounts and live flags
+-- computes the hardware popcount Dice and top-k outside the lock, and
+resolves the hits' ids and records under the lock again.  Every add and
+remove bumps a write counter; if one landed in between, the search is
+redone while holding the lock.  A concurrent remove + add that recycles a
+row, or a re-add of a hit's id, can therefore never pair an id or a
+record with another filter's score.  Results follow the deterministic
+``(-score, record_id)`` ordering.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,8 +76,11 @@ class ClkCandidateIndex:
         self._store = RowStore(_INITIAL_CAPACITY,
                                filters=((self.words,), np.uint64, 0),
                                pops=((), np.int64, 0),
-                               live=((), bool, False))
-        self._records: Dict[str, EntityRecord] = {}
+                               live=((), bool, False),
+                               record=((), object, None))
+        #: bumped by every add and remove; a search whose snapshot it
+        #: outdated re-scores under the lock
+        self._writes = 0
 
     # -- size / membership --------------------------------------------
     def __len__(self) -> int:
@@ -88,7 +94,8 @@ class ClkCandidateIndex:
     def get(self, record_id: str) -> Optional[EntityRecord]:
         """Stored plaintext record (single-party mode only), else ``None``."""
         with self._lock:
-            return self._records.get(record_id)
+            row = self._store.rows.get(record_id)
+            return None if row is None else self._store["record"][row]
 
     def get_clk(self, record_id: str) -> Optional[np.ndarray]:
         with self._lock:
@@ -119,12 +126,10 @@ class ClkCandidateIndex:
             self._store["filters"][row] = clk
             self._store["pops"][row] = pop
             self._store["live"][row] = True
-            if record is not None:
-                self._records[record_id] = record
-            else:
-                # a filter-only (re)add leaves no plaintext behind; any
-                # record stored for this id no longer matches the filter
-                self._records.pop(record_id, None)
+            # a filter-only (re)add leaves no plaintext behind; any record
+            # stored for this id no longer matches the filter
+            self._store["record"][row] = record
+            self._writes += 1
             size = len(self._store)
         self._set_gauge(size)
         return fresh
@@ -165,7 +170,7 @@ class ClkCandidateIndex:
         with self._lock:
             if self._store.release(record_id) is None:
                 return False
-            self._records.pop(record_id, None)
+            self._writes += 1
             size = len(self._store)
         self._set_gauge(size)
         return True
@@ -176,11 +181,17 @@ class ClkCandidateIndex:
         """Top-k ``(record_id, dice)`` for a packed query filter.
 
         Under the lock the query is ANDed with every row up to the
-        high-water mark and the popcounts, live flags and ids are copied;
-        the popcounts and Dice run outside it on that snapshot, so every
+        high-water mark and the popcounts and live flags are copied; the
+        popcounts and Dice run outside it on that snapshot, so every
         score belongs to the id it is returned with.  Ties at the k-th
         score resolve by record id.
         """
+        return [(rid, score) for rid, score, _ in self._search(clk, k)]
+
+    def _search(self, clk: np.ndarray, k: Optional[int]
+                ) -> List[Tuple[str, float, Optional[EntityRecord]]]:
+        """:meth:`search` hits with the plaintext record (or ``None``)
+        each id held in the same state of the index as its filter."""
         k = self.default_k if k is None else int(k)
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -189,26 +200,40 @@ class ClkCandidateIndex:
             raise ValueError(
                 f"expected a ({self.words},) packed filter, "
                 f"got shape {clk.shape}")
+        found = self._scored(clk, k)
+        if found is None:
+            # a write landed between snapshot and resolve: score again
+            # holding the (re-entrant) lock, where none can
+            with self._lock:
+                found = self._scored(clk, k)
+        if self.min_score is not None:
+            found = [hit for hit in found if hit[1] >= self.min_score]
+        found.sort(key=lambda hit: (-hit[1], hit[0]))
+        return found[:k]
+
+    def _scored(self, clk: np.ndarray, k: int
+                ) -> Optional[List[Tuple[str, float, Optional[EntityRecord]]]]:
+        """Top-k rows scored outside the lock on a locked snapshot, then
+        resolved to ids and records under the lock; ``None`` when any
+        write landed in between (a remove + add may have handed a hit's
+        row to another id, or a re-add replaced its record)."""
         with self._lock:
             if not self._store:
                 return []
-            # copy all that scoring reads: once the lock is released, a
-            # remove + add may hand any row to another id
             n = len(self._store.ids)
             shared = np.bitwise_and(self._store["filters"][:n], clk)
             pops = self._store["pops"][:n].copy()
             live = self._store["live"][:n].copy()
-            ids = list(self._store.ids)
+            writes = self._writes
         scores = dice_from_counts(popcount(shared), pops, int(popcount(clk)))
         rows = np.flatnonzero(live)
         scores = scores[rows]
-        found = [(ids[rows[i]], float(scores[i]))
-                 for i in topk_candidates(scores, k)]
-        if self.min_score is not None:
-            found = [(rid, score) for rid, score in found
-                     if score >= self.min_score]
-        found.sort(key=lambda item: (-item[1], item[0]))
-        return found[:k]
+        top = [(rows[i], float(scores[i])) for i in topk_candidates(scores, k)]
+        with self._lock:
+            if self._writes != writes:
+                return None
+            ids, records = self._store.ids, self._store["record"]
+            return [(ids[row], score, records[row]) for row, score in top]
 
     def candidates(self, record: EntityRecord, k: Optional[int] = None
                    ) -> List[Tuple[EntityRecord, float]]:
@@ -222,15 +247,14 @@ class ClkCandidateIndex:
 
     def candidates_from_clk(self, clk: np.ndarray, k: Optional[int] = None
                             ) -> List[Tuple[EntityRecord, float]]:
-        """:meth:`candidates` for an already-encoded query filter."""
-        found = self.search(clk, k)
-        with self._lock:
-            out = []
-            for rid, score in found:
-                kept = self._records.get(rid)
-                if kept is not None:
-                    out.append((kept, score))
-        return out
+        """:meth:`candidates` for an already-encoded query filter.
+
+        Each record is resolved from the same state of the index as the
+        filter its score came from, so a re-add of a hit's id during the
+        search cannot pair the new record with the old filter's score.
+        """
+        return [(record, score) for _, score, record in self._search(clk, k)
+                if record is not None]
 
     # -- bookkeeping ---------------------------------------------------
     def stats(self) -> dict:
@@ -239,11 +263,12 @@ class ClkCandidateIndex:
             capacity = self._store.capacity
             n = len(self._store.ids)
             pops = self._store["pops"][:n][self._store["live"][:n]]
+            plaintext = sum(r is not None for r in self._store["record"][:n])
             fill = float(pops.mean() / (self.words * 64)) if live else 0.0
             return {
                 "kind": self.kind,
                 "records": live,
-                "plaintext_records": len(self._records),
+                "plaintext_records": plaintext,
                 "words": self.words,
                 "encoded_nbits": self.words * 64,
                 "capacity": capacity,

@@ -119,6 +119,24 @@ class TestDropoutModule:
                 single = drop(Tensor(batch)).numpy()
             np.testing.assert_array_equal(tiled[k * 6:(k + 1) * 6], single)
 
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    @pytest.mark.parametrize("tiles", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_seeded_mask_bytes_match_divide_and_cast(self, p, tiles, dtype):
+        # the one-pass mask must equal the float64 divide, concatenate and
+        # cast it replaced, byte for byte
+        drop = Dropout(p, rng=np.random.default_rng(0))
+        seeds = tuple(range(20, 20 + tiles))
+        shape = (4 * tiles, 3, 16, 16)
+        parts = []
+        for seed in seeds:
+            rng = np.random.default_rng([9, seed, 2, drop.seed_salt])
+            parts.append((rng.random((4, 3, 16, 16)) >= p) / (1.0 - p))
+        old = np.concatenate(parts, axis=0).astype(dtype)
+        new = drop._seeded_mask(shape, seeds, 2, 9, dtype=dtype)
+        assert new.dtype == dtype
+        assert new.tobytes() == old.tobytes()
+
     def test_plan_untileable_shape_falls_back(self):
         # shape not divisible by the tile count (e.g. shared prompt
         # embeddings of batch size 1) must still run, via the module rng

@@ -6,6 +6,7 @@ against a remove + add that recycles a row mid-search."""
 import numpy as np
 import pytest
 
+from repro.data.records import EntityRecord
 from repro.privacy import (
     ClkCandidateIndex, ClkConfig, ClkEncoder, dice_reference,
 )
@@ -254,3 +255,43 @@ class TestSearchSnapshot:
         assert got in (pre, post)
         monkeypatch.undo()
         assert index.search(query, k=3) == post
+
+    def test_readd_mid_search_keeps_records_and_scores_paired(
+            self, monkeypatch):
+        """A re-add of a hit's id with other values, landing after the
+        snapshot: each hit must carry the record its score came from."""
+        index = single_party_index()
+        old, other = make_record(0), make_record(1)
+        index.add(old)
+        index.add(other)
+        query = index.encoder.encode_record(old)
+        new = EntityRecord(record_id=old.record_id, kind=old.kind,
+                           values=make_record(5).values)
+
+        def answer(records):
+            scored = [(r, dice_reference(
+                [int(w) for w in query],
+                [int(w) for w in index.encoder.encode_record(r)]))
+                for r in records]
+            return sorted(scored, key=lambda h: (-h[1], h[0].record_id))
+
+        pre, post = answer([old, other]), answer([new, other])
+        assert pre != post
+
+        real = kernels.popcount
+        fired = []
+
+        def readd_then_count(packed):
+            if not fired:
+                fired.append(True)
+                index.add(new)
+            return real(packed)
+
+        monkeypatch.setattr(index_module, "popcount", readd_then_count)
+        got = index.candidates_from_clk(query, k=2)
+        assert fired
+        # one consistent state; the parent paired the new record with the
+        # old filter's Dice of 1.0
+        assert got in (pre, post)
+        monkeypatch.undo()
+        assert index.get(old.record_id) is new
